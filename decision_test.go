@@ -1,6 +1,11 @@
 package oreo
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"oreo/internal/sim"
+)
 
 // TestReorganizedOnlyOnRealSwitch is the regression test for
 // Decision.Reorganized: the policy can surface a target layout equal to
@@ -85,5 +90,73 @@ func TestReorganizedMatchesSwitchCounter(t *testing.T) {
 		if flagged == 0 {
 			t.Errorf("delay=%d: workload drove no switches; regression test is vacuous", delay)
 		}
+	}
+}
+
+// TestSimRunMatchesOptimizer holds the paper harness and the serving
+// optimizer to one decision loop: sim.Run driving an optimizer's own
+// policy must serve the same layout at the same cost on every query as
+// ProcessQuery does, bit for bit, with and without a reorganization
+// delay. The delayed run must include swaps the policy abandoned
+// mid-delay — the case where the two loops used to disagree.
+func TestSimRunMatchesOptimizer(t *testing.T) {
+	ds := buildEventsTable(t, 4000)
+	qs := make([]Query, 4000)
+	for i := range qs {
+		if (i/100)%2 == 0 {
+			lo := int64(i % 3000)
+			qs[i] = Query{ID: i, Preds: []Predicate{IntRange("ts", lo, lo+200)}}
+		} else {
+			qs[i] = Query{ID: i, Preds: []Predicate{StrEq("user", "alice")}}
+		}
+	}
+	for _, delay := range []int{0, 80} {
+		cfg := Config{
+			Alpha: 3, Partitions: 8, WindowSize: 40, Period: 40,
+			InitialSort: []string{"ts"}, Seed: 11, ReorgDelay: delay,
+		}
+		served, err := New(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var curve []float64
+		cum, reorg, aborted := 0.0, 0.0, 0
+		for _, q := range qs {
+			pending, serving := served.PendingLayout(), served.CurrentLayout()
+			d := served.ProcessQuery(q)
+			if d.Reorganized {
+				reorg += cfg.Alpha
+			} else if pending != nil && served.PendingLayout() == nil && served.CurrentLayout() == serving {
+				aborted++
+			}
+			cum += d.Cost
+			curve = append(curve, cum+reorg)
+		}
+
+		simmed, err := New(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sim.Run(qs, simmed.pol, sim.Config{Alpha: cfg.Alpha, Delay: delay, CurveStride: 1})
+
+		st := served.Stats()
+		if res.Switches != st.Reorganizations || res.Switches == 0 {
+			t.Errorf("delay=%d: sim.Run switches %d, Optimizer %d", delay, res.Switches, st.Reorganizations)
+		}
+		if math.Float64bits(res.QueryCost) != math.Float64bits(st.QueryCost) {
+			t.Errorf("delay=%d: sim.Run query cost %v, Optimizer %v", delay, res.QueryCost, st.QueryCost)
+		}
+		if res.FinalLayout != served.CurrentLayout().Name {
+			t.Errorf("delay=%d: sim.Run ends on %s, Optimizer on %s", delay, res.FinalLayout, served.CurrentLayout().Name)
+		}
+		for i := range curve {
+			if math.Float64bits(res.Curve[i]) != math.Float64bits(curve[i]) {
+				t.Fatalf("delay=%d: cumulative cost diverges at query %d: sim.Run %v, Optimizer %v", delay, i, res.Curve[i], curve[i])
+			}
+		}
+		if delay > 0 && aborted == 0 {
+			t.Errorf("delay=%d: no delayed swap was abandoned; the check is vacuous", delay)
+		}
+		t.Logf("delay=%d: %d switches, %d abandoned swaps", delay, res.Switches, aborted)
 	}
 }

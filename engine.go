@@ -6,20 +6,17 @@ package oreo
 // background reorganization, and observe the cumulative counters —
 // independent of which concurrency regime sits behind it.
 //
-// Three implementations ship with the package:
+// Two implementations ship with the package:
 //
-//   - *Optimizer: the sequential engine (single goroutine).
-//   - *ConcurrentOptimizer: the read-mostly engine; ProcessQuery
-//     serializes, every read is lock-free against a published snapshot.
+//   - *Optimizer: the engine itself, driven from one goroutine.
 //   - MultiOptimizer per-table shards, via MultiOptimizer.Engine: each
 //     table's independent engine in a multi-table deployment.
 //
-// Serving layers and harnesses written against Engine run unchanged
-// over any of them, which is what lets one benchmark or transport host
-// swap regimes without touching request logic. Engine is the decision
-// surface only — lock-free costing without decision side effects lives
-// on ConcurrentOptimizer.CostQuery / OptimizerSnapshot, which
-// sequential Optimizers cannot offer.
+// Harnesses written against Engine run unchanged over either. Engine
+// is the decision surface only: lock-free costing without decision
+// side effects lives on OptimizerSnapshot.CostQuery, over a snapshot
+// the driving goroutine takes with Optimizer.Snapshot and publishes to
+// readers (internal/serve publishes one per table event).
 type Engine interface {
 	// ProcessQuery feeds one query through the full decision path —
 	// admission, D-UMTS counters, possible reorganization — and costs
@@ -34,9 +31,6 @@ type Engine interface {
 	Stats() Stats
 }
 
-// Compile-time proof that both optimizer regimes present the same
-// serving surface; MultiOptimizer.Engine covers the sharded case.
-var (
-	_ Engine = (*Optimizer)(nil)
-	_ Engine = (*ConcurrentOptimizer)(nil)
-)
+// Compile-time proof that Optimizer presents the serving surface;
+// MultiOptimizer.Engine covers the sharded case.
+var _ Engine = (*Optimizer)(nil)

@@ -1,6 +1,7 @@
 package oreo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -24,11 +25,12 @@ func engineWorkload(n int) []Query {
 }
 
 // TestEngineImplementationsAgree drives the identical workload through
-// all three Engine implementations — sequential Optimizer, read-mostly
-// ConcurrentOptimizer, and a MultiOptimizer table shard — with the same
-// configuration and seed, purely through the interface. They must make
-// bit-identical decisions: the interface is one serving surface over
-// three concurrency regimes, not three subtly different optimizers.
+// both Engine implementations — Optimizer and a MultiOptimizer table
+// shard — with the same configuration and seed, purely through the
+// interface. They must make bit-identical decisions: the interface is
+// one serving surface, not two subtly different optimizers. Along the
+// way the Optimizer's Snapshot, the value serving hosts publish to
+// readers, must agree with its own Engine reads after every query.
 func TestEngineImplementationsAgree(t *testing.T) {
 	ds := buildEventsTable(t, 2000)
 	cfg := Config{
@@ -43,12 +45,6 @@ func TestEngineImplementationsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines["Optimizer"] = seq
-
-	conc, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines["ConcurrentOptimizer"] = NewConcurrent(conc)
 
 	m := NewMulti()
 	if err := m.AddTable("events", ds, cfg); err != nil {
@@ -71,8 +67,17 @@ func TestEngineImplementationsAgree(t *testing.T) {
 	runs := map[string]run{}
 	for name, e := range engines {
 		var r run
-		for _, q := range engineWorkload(300) {
+		for i, q := range engineWorkload(300) {
 			dec := e.ProcessQuery(q)
+			if opt, ok := e.(*Optimizer); ok {
+				snap := opt.Snapshot()
+				if snap.Serving != opt.CurrentLayout() || snap.Pending != opt.PendingLayout() || snap.Stats != opt.Stats() {
+					t.Fatalf("query %d: snapshot %+v disagrees with the engine reads", i, snap)
+				}
+				if c := snap.CostQuery(q); math.Float64bits(c.Cost) != math.Float64bits(dec.Cost) || c.Layout != dec.Layout {
+					t.Fatalf("query %d: snapshot cost %v on %s, decision %v on %s", i, c.Cost, c.Layout.Name, dec.Cost, dec.Layout.Name)
+				}
+			}
 			r.costs = append(r.costs, dec.Cost)
 			r.layouts = append(r.layouts, dec.Layout.Name)
 		}

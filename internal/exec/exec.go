@@ -15,8 +15,8 @@
 // Stores are immutable once built and cheap to share; when the
 // optimizer reorganizes into a new layout the owner builds a fresh
 // Store from the same dataset and atomically swaps it in
-// (internal/serve does exactly this, in lockstep with its optimizer
-// snapshots).
+// (internal/serve publishes it inside the same table version as the
+// layout it was built for).
 //
 // Scan executes vectorized: predicates bind to typed columnar kernels
 // that sweep each block into a selection vector, aggregates fold in

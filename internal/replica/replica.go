@@ -31,7 +31,8 @@
 //     when the serving layout physically changed — the new layout's
 //     RLE. Followers apply records in epoch order; non-switch records
 //     are a pointer update, switch records rebuild the layout (and the
-//     execution store, in lockstep) off the request path.
+//     execution store, in the same published version) off the request
+//     path.
 //   - Live writes travel in the same stream, on the same epoch counter:
 //     append records carry the landed rows (columnar, floats as bit
 //     patterns), and compact records carry the post-fold layout with no

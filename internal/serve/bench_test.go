@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,17 +54,19 @@ func benchFixture(b *testing.B) (*oreo.Dataset, *oreo.Optimizer, []oreo.Query) {
 }
 
 // BenchmarkServingMutexQPS is the pre-serving baseline: every request
-// runs the full decision path behind the ConcurrentOptimizer mutex, so
-// requests serialize no matter how many cores serve them.
+// runs the full decision path behind one mutex, so requests serialize
+// no matter how many cores serve them.
 func BenchmarkServingMutexQPS(b *testing.B) {
 	_, opt, queries := benchFixture(b)
-	copt := oreo.NewConcurrent(opt)
+	var mu sync.Mutex
 	var i atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			q := queries[i.Add(1)%uint64(len(queries))]
-			copt.ProcessQuery(q)
+			mu.Lock()
+			opt.ProcessQuery(q)
+			mu.Unlock()
 		}
 	})
 }

@@ -269,11 +269,11 @@ func (c *Core) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
 	if !ok {
 		return oreo.OptimizerSnapshot{}, false
 	}
-	st, err := sh.view()
+	v, err := sh.view()
 	if err != nil {
 		return oreo.OptimizerSnapshot{}, false
 	}
-	return st.snap, true
+	return v.snap, true
 }
 
 // Position is one table's coherent replication position: the monotonic
@@ -304,11 +304,11 @@ func (c *Core) ReplicaPosition(table string) (Position, bool) {
 	if !found {
 		return Position{}, false
 	}
-	st, err := sh.view()
+	v, err := sh.view()
 	if err != nil {
 		return Position{}, false
 	}
-	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: sh.bootRows()}, true
+	return Position{Epoch: v.epoch, Snapshot: v.snap, Dataset: v.ds, Delta: v.delta, SeedRows: sh.bootRows()}, true
 }
 
 // ReplicaState is one externally decoded state a follower applies: the
@@ -422,18 +422,43 @@ func (c *Core) Promote(cfg PromoteConfig) error {
 	// Validate everything before touching any shard: a half-promoted
 	// core would serve some tables as leader and some as follower.
 	for _, name := range c.names {
-		if c.shards[name].rep.Load() == nil {
+		if c.shards[name].cur.Load() == nil {
 			return errUnavailable("serve: cannot promote: table %q has not applied a snapshot yet", name)
 		}
 		if _, ok := cfg.Tables[name]; !ok {
 			return errInvalid("serve: promote config missing table %q", name)
 		}
 	}
+	// Build every table's engine before flipping any: construction is
+	// the step that can fail (a bad Config).
+	preps := make(map[string]*promotion, len(c.names))
 	for _, name := range c.names {
-		pt := cfg.Tables[name]
-		if err := c.shards[name].promote(pt.Config, pt.SeedRows, cfg.QueueSize, cfg.CompactThreshold); err != nil {
+		p, err := c.shards[name].preparePromotion(cfg.Tables[name].Config)
+		if err != nil {
 			return err
 		}
+		preps[name] = p
+	}
+	// Flip every table under all their write locks at once, so a racing
+	// Close or second Promote finds either no table flipped or all of
+	// them. Promote is the only path that holds more than one shard's
+	// lock, and it always locks in registration order.
+	for _, name := range c.names {
+		c.shards[name].obsMu.Lock()
+		defer c.shards[name].obsMu.Unlock()
+	}
+	for _, name := range c.names {
+		sh := c.shards[name]
+		if !sh.replica {
+			return errInvalid("table %q is already a leader", name)
+		}
+		if sh.obsClosed {
+			return errUnavailable("table %q is shutting down", name)
+		}
+	}
+	for _, name := range c.names {
+		pt := cfg.Tables[name]
+		c.shards[name].promoteLocked(preps[name], pt.SeedRows, cfg.QueueSize, cfg.CompactThreshold)
 	}
 	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
 	// The role gauge follows the flip: retire the follower-labeled
@@ -689,7 +714,7 @@ func (c *Core) Health() HealthResponse {
 		// instant (observations enqueued = processed + still waiting), so
 		// a reader can tell "decision loop behind" from "counter drift".
 		resp.QueueDepth += sh.queueDepth()
-		st, err := sh.view()
+		v, err := sh.view()
 		if err != nil {
 			// A replica table still waiting for its first snapshot: the
 			// process is up but not serving this table yet.
@@ -698,9 +723,9 @@ func (c *Core) Health() HealthResponse {
 			resp.DeltaRows[name] = 0
 			continue
 		}
-		resp.Queries += st.snap.Stats.Queries
-		resp.LayoutEpochs[name] = st.epoch
-		resp.DeltaRows[name] = st.deltaRows()
+		resp.Queries += v.snap.Stats.Queries
+		resp.LayoutEpochs[name] = v.epoch
+		resp.DeltaRows[name] = v.deltaRows()
 	}
 	return resp
 }

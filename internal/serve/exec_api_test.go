@@ -356,10 +356,9 @@ func TestExecuteAcrossReorganization(t *testing.T) {
 	// The executed layout genuinely switched, and the shard's store
 	// followed it: its state pairs the new layout with a store of the
 	// same partitioning.
-	sh := s.core.shards["orders"]
-	st := sh.store.Load()
-	if st.store.Partitioning() != st.layout.Part {
-		t.Error("execution store not in lockstep with its layout")
+	v := s.core.shards["orders"].cur.Load()
+	if v.store.Partitioning() != v.snap.Serving.Part {
+		t.Error("execution store not built for its version's serving layout")
 	}
 }
 
@@ -493,7 +492,7 @@ func TestStatsReadPathCounters(t *testing.T) {
 	}
 	// Costing-only traffic never materializes the execution store: the
 	// second copy of the data is paid on the first execute, not at boot.
-	if srv.core.shards["orders"].store.Load() != nil {
+	if srv.core.shards["orders"].cur.Load().store != nil {
 		t.Error("execution store materialized by costing-only traffic")
 	}
 	// A rejected execute (bad aggregate) must not materialize it either:
@@ -501,7 +500,7 @@ func TestStatsReadPathCounters(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/query", QueryRequest{Table: "orders", Execute: true,
 		Preds: []PredicateJSON{{Col: "order_ts", HasLo: true, LoI: 1}},
 		Aggs:  []AggregateJSON{{Op: "sum", Col: "status"}}})
-	if srv.core.shards["orders"].store.Load() != nil {
+	if srv.core.shards["orders"].cur.Load().store != nil {
 		t.Error("execution store materialized by a rejected execute request")
 	}
 	for i := 0; i < executed; i++ {
@@ -528,7 +527,7 @@ func TestStatsReadPathCounters(t *testing.T) {
 	if st.ExecutionRowsRead == 0 {
 		t.Error("execution_rows_read stayed zero after executed scans")
 	}
-	if srv.core.shards["orders"].store.Load() == nil {
+	if srv.core.shards["orders"].cur.Load().store == nil {
 		t.Error("execution store missing after executed scans")
 	}
 }

@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"oreo"
+	"oreo/internal/exec"
 )
 
 // TestExecuteConcurrentDuringStoreSwap is the execution layer's -race
@@ -106,10 +108,149 @@ func TestExecuteConcurrentDuringStoreSwap(t *testing.T) {
 
 	// The stress only counts if stores actually swapped under it.
 	sh := core.shards["orders"]
-	if st := sh.store.Load(); st == nil {
+	if v := sh.cur.Load(); v.store == nil {
 		t.Fatal("no store was ever materialized")
 	}
 	if got := sh.executions.Load(); got < goroutines*iters/2 {
 		t.Fatalf("only %d executions recorded", got)
+	}
+}
+
+// TestVersionReadMostlyStress pins the published-version contract under
+// the race detector: while a drifting observation stream drains through
+// a shard's decision loop (reorganizing, with delayed swaps, and
+// rebuilding the execution store on every landed switch), readers load
+// versions lock-free and check that every one is whole — the epoch and
+// the decision counter never go backwards across loads, a cost equals
+// the survivor row mass of the version's own serving layout, a version
+// that carries a store carries one built for that layout — while trace
+// reads run alongside.
+func TestVersionReadMostlyStress(t *testing.T) {
+	_, s, _ := newExecFixture(t, 3000, oreo.Config{
+		Alpha: 2, WindowSize: 20, Partitions: 16, ReorgDelay: 4,
+		InitialSort: []string{"order_ts"}, Seed: 5, TraceCapacity: 32,
+	}, Config{QueueSize: 64, ScanParallelism: 2})
+	core := s.Core()
+	sh := core.shards["orders"]
+
+	// One execute materializes the store, so every later switch rebuilds
+	// it inside the publish the readers race.
+	if _, err := core.Answer(context.Background(), QueryRequest{
+		Table: "orders", Execute: true,
+		Preds: []PredicateJSON{{Col: "order_ts", HasLo: true, LoI: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const traceLen = 600
+	statuses := []string{"cancelled", "delivered", "pending", "returned"}
+	queries := make([]oreo.Query, traceLen)
+	for i := range queries {
+		if (i/100)%2 == 0 {
+			lo := int64((i * 37) % 2800)
+			queries[i] = oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.IntRange("order_ts", lo, lo+150)}}
+		} else {
+			queries[i] = oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.StrEq("status", statuses[i%4])}}
+		}
+	}
+
+	// The writer resends on a full queue, so every observation lands,
+	// then waits for the loop to drain before releasing the readers.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, q := range queries {
+			for {
+				ok, err := core.Observe("orders", q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+		for want := int(sh.observed.Load()); sh.cur.Load().snap.Stats.Queries < want; {
+			runtime.Gosched()
+		}
+	}()
+
+	const readers = 6
+	var wg sync.WaitGroup
+	stores := make([]map[*exec.Store]bool, readers)
+	for r := 0; r < readers; r++ {
+		stores[r] = map[*exec.Store]bool{}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var lastEpoch uint64
+			lastQueries := 0
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := sh.cur.Load()
+				if v.epoch < lastEpoch || v.snap.Stats.Queries < lastQueries {
+					t.Errorf("reader %d: version went backwards: epoch %d after %d, queries %d after %d",
+						r, v.epoch, lastEpoch, v.snap.Stats.Queries, lastQueries)
+					return
+				}
+				lastEpoch, lastQueries = v.epoch, v.snap.Stats.Queries
+				if v.store != nil {
+					if v.store.Partitioning() != v.snap.Serving.Part {
+						t.Errorf("reader %d: epoch %d pairs layout %s with a store built for another layout",
+							r, v.epoch, v.snap.Serving.Name)
+						return
+					}
+					stores[r][v.store] = true
+				}
+
+				res := sh.costOn(v, queries[(r*131+i)%traceLen])
+				part := v.snap.Serving.Part
+				mass := 0
+				for j, pid := range res.SurvivorPartitions {
+					if j > 0 && pid <= res.SurvivorPartitions[j-1] {
+						t.Errorf("reader %d: survivor list not ascending: %v", r, res.SurvivorPartitions)
+						return
+					}
+					mass += part.RowsInPartition(pid)
+				}
+				if want := float64(mass) / float64(part.TotalRows); math.Float64bits(res.Cost) != math.Float64bits(want) {
+					t.Errorf("reader %d: cost %v disagrees with survivor row mass %v on %s", r, res.Cost, want, res.Layout)
+					return
+				}
+				if i%16 == 0 {
+					if _, err := core.Trace("orders"); err != nil {
+						t.Errorf("reader %d: trace: %v", r, err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// The stress only counts if the loop reorganized and rebuilt the
+	// store while the readers were loading versions.
+	final := sh.cur.Load()
+	if final.snap.Stats.Reorganizations == 0 {
+		t.Fatal("decision loop never reorganized; the stress is vacuous")
+	}
+	seen := map[*exec.Store]bool{}
+	for _, m := range stores {
+		for st := range m {
+			seen[st] = true
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatalf("readers saw %d distinct stores; no rebuild raced them", len(seen))
+	}
+	tr, err := core.Trace("orders")
+	if err != nil || len(tr.Events) == 0 {
+		t.Fatalf("trace after the run: %d events, err %v", len(tr.Events), err)
 	}
 }

@@ -13,21 +13,24 @@
 //
 // Requests are handled per table on independent shards. Each shard runs
 // in a read-mostly regime: costing and survivor skip-list extraction —
-// the per-request work — run lock-free against an atomically swapped
-// immutable layout snapshot (oreo.ConcurrentOptimizer), while decision-
-// state updates (admission, D-UMTS counters, reorganization) drain
-// through a single background consumer fed by a bounded queue. The
-// request path therefore scales with cores and is never stalled by a
-// layout generation in progress; under overload, observations are
-// sampled (and counted) instead of applying backpressure to queries.
+// the per-request work — run lock-free against one immutable table
+// version (epoch, optimizer snapshot, base, delta, execution store)
+// published through a single atomic pointer, while decision-state
+// updates (admission, D-UMTS counters, reorganization) drain through a
+// single background consumer that owns a plain oreo.Optimizer and is
+// fed by a bounded queue. The request path therefore scales with cores
+// and is never stalled by a layout generation in progress; under
+// overload, observations are sampled (and counted) instead of applying
+// backpressure to queries.
 //
 // With "execute": true a query request goes past costing: each shard
 // keeps an execution store (internal/exec) — the table's rows
 // materialized into one columnar block per partition of the serving
 // layout, built lazily on the first execute request so costing-only
-// deployments never pay for it — snapshot-swapped by the decision
-// consumer in lockstep with the optimizer snapshot whenever a
-// reorganization lands. The request scans exactly the survivor
+// deployments never pay for it — carried in the published version. The
+// decision consumer rebuilds it before publishing any version whose
+// serving layout changed, so a request always scans the store built for
+// the layout it was costed on. The request scans exactly the survivor
 // partitions, re-checks predicates per row, and returns matched-row
 // counts plus requested aggregates (count, sum, min, max) next to the
 // cost, closing the loop the cost model predicts.

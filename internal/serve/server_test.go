@@ -506,6 +506,73 @@ func TestReplicaCoreUnavailableBeforeSnapshot(t *testing.T) {
 	}
 }
 
+// TestPromoteAllOrNothing pins Promote's atomicity across tables: when
+// one table's engine cannot be built (an invalid Config), no table may
+// have flipped — the core stays a follower whose every table still
+// applies replication state — and a corrected retry promotes them all.
+func TestPromoteAllOrNothing(t *testing.T) {
+	base, _ := newFixtureServer(t, 8)
+	rc, err := NewReplicaCore([]ReplicaTable{
+		{Name: "orders", Dataset: base.core.shards["orders"].ds},
+		{Name: "events", Dataset: base.core.shards["events"].ds},
+	}, CoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	apply := func(epoch uint64) {
+		t.Helper()
+		for _, name := range []string{"orders", "events"} {
+			pos, ok := base.core.ReplicaPosition(name)
+			if !ok {
+				t.Fatalf("leader has no position for %s", name)
+			}
+			if err := rc.ApplyReplica(name, ReplicaState{Epoch: epoch, Snapshot: pos.Snapshot, Dataset: pos.Dataset}); err != nil {
+				t.Fatalf("apply %s at epoch %d: %v", name, epoch, err)
+			}
+		}
+	}
+	apply(1)
+
+	// orders is registered first and its config is valid; events' is
+	// not, and its engine build fails only after orders' has succeeded.
+	cfg := PromoteConfig{Tables: map[string]PromoteTable{
+		"orders": {Config: oreo.Config{Partitions: 16, Seed: 1}},
+		"events": {Config: oreo.Config{Alpha: 0.5}},
+	}}
+	if err := rc.Promote(cfg); err == nil {
+		t.Fatal("promote with an invalid table config succeeded")
+	}
+	if rc.Role() != RoleFollower {
+		t.Fatalf("role after a failed promote = %q, want follower", rc.Role())
+	}
+	for _, name := range []string{"orders", "events"} {
+		if !rc.shards[name].isReplica() {
+			t.Errorf("table %s flipped to leader by a failed promote", name)
+		}
+	}
+	apply(2)
+	if _, err := rc.Observe("orders", oreo.Query{Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 9)}}); err == nil {
+		t.Error("a follower table accepted a local observation")
+	}
+
+	cfg.Tables["events"] = PromoteTable{Config: oreo.Config{Partitions: 8, Seed: 2}}
+	if err := rc.Promote(cfg); err != nil {
+		t.Fatalf("corrected promote: %v", err)
+	}
+	if rc.Role() != RoleLeader {
+		t.Fatalf("role after promote = %q, want leader", rc.Role())
+	}
+	for _, name := range []string{"orders", "events"} {
+		if rc.shards[name].isReplica() {
+			t.Errorf("table %s still a replica after a successful promote", name)
+		}
+		if h := rc.Health(); h.LayoutEpochs[name] != 2 {
+			t.Errorf("table %s epoch after promote = %d, want 2", name, h.LayoutEpochs[name])
+		}
+	}
+}
+
 // TestLeaderHealthEpochs pins the leader half of the lag read: the
 // layout epoch is the count of decisions the table's loop processed.
 func TestLeaderHealthEpochs(t *testing.T) {

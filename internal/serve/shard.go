@@ -14,21 +14,28 @@ import (
 	"oreo/internal/table"
 )
 
-// shard is one table's serving unit. It runs in one of two modes:
+// shard is one table's serving unit. Everything a request reads lives
+// in one immutable table version (epoch, snapshot, base, delta, store),
+// published through one atomic pointer: a read takes one load and
+// serves from a state that was true at exactly that epoch, so the
+// layout it costs against, the store it scans and the stats it reports
+// can never come from different instants. Every write of the version
+// goes through publish.
 //
-// In leader mode it pairs a read-mostly optimizer with the bounded
-// event queue that decouples request handling from the sequential
-// decision path. The read path (serveQuery / serveExecute) is
-// lock-free: it costs the query and extracts the survivor skip-list
-// against the atomically published layout snapshot — and, for execute
-// requests, scans the matching execution store — then hands the query
+// A shard runs in one of two modes. In leader mode it owns a plain
+// optimizer and the bounded event queue that decouples request handling
+// from the sequential decision path. The read path (serveQuery /
+// serveExecute) is lock-free: it costs the query and extracts the
+// survivor skip-list against the published version — and, for execute
+// requests, scans the version's execution store — then hands the query
 // to the decision loop through a non-blocking send. The write path is
-// one background consumer goroutine draining the queue, so the
-// mutex-serialized decision path never sits on a request's critical
-// path. The queue carries three event kinds:
+// one background consumer goroutine that owns the optimizer, drains the
+// queue and publishes a new version after each event, so the decision
+// path never sits on a request's critical path. The queue carries three
+// event kinds:
 //
-//   - observations (evObserve) feed ConcurrentOptimizer.ProcessQuery.
-//     When the queue is full the query is sampled out of reorganization
+//   - observations (evObserve) feed Optimizer.ProcessQuery. When the
+//     queue is full the query is sampled out of reorganization
 //     decisions (counted in dropped) rather than blocking the request —
 //     under overload OREO sees a uniform sample of the stream, which
 //     its sliding-window machinery is built for.
@@ -46,30 +53,27 @@ import (
 // decisions and data changes share one totally ordered stream — the
 // property replication relies on for bit-identical followers.
 //
-// In replica mode there is no optimizer and no event loop: the
-// (epoch, snapshot, base, delta) state is applied from outside (a
-// replication follower decoding the leader's stream — see
-// internal/replica), the read path serves from it exactly as a leader
-// shard would, and observations are handed to a forward function that
-// ships them upstream instead of into a local queue. A replica shard
-// that has not yet applied its first snapshot answers unavailable.
+// In replica mode there is no optimizer and no event loop: versions
+// are applied from outside (a replication follower decoding the
+// leader's stream — see internal/replica), the read path serves from
+// them exactly as a leader shard would, and observations are handed to
+// a forward function that ships them upstream instead of into a local
+// queue. A replica shard that has not yet applied its first snapshot
+// answers unavailable.
 type shard struct {
 	table string
 	// ds is the boot-time dataset — the schema anchor (the schema
-	// pointer never changes across appends and compactions) and the
-	// fallback seed source. The *current* base lives in rep: compaction
-	// grows it past ds.
+	// pointer never changes across appends and compactions). The
+	// *current* base lives in the published version: compaction grows
+	// it past ds.
 	ds *oreo.Dataset
 
-	// copt is the decision engine — leader mode only, nil on a replica.
-	// It is an atomic pointer because compaction replaces the optimizer
-	// wholesale (a fresh engine over the grown base, carrying the
-	// compacted layout as its initial state) while request goroutines
-	// keep reading trace events and snapshots.
-	copt atomic.Pointer[oreo.ConcurrentOptimizer]
-	// optCfg is the resolved optimizer configuration, reused for the
-	// rebuilt engines compaction installs (only Initial is overridden).
-	optCfg oreo.Config
+	// opt is the decision engine — leader mode only, nil on a replica.
+	// The event consumer owns it: compaction replaces it with a fresh
+	// engine over the grown base, and no request ever touches it
+	// (requests read the published version, whose trace is the current
+	// engine's).
+	opt *oreo.Optimizer
 	// seedRows is the row count of the table's boot source (the CSV or
 	// fixture the process started from), which persistence needs to
 	// frame tails relative to a stable prefix; see CoreConfig.SeedRows.
@@ -80,36 +84,20 @@ type shard struct {
 	replica bool
 	forward func(oreo.Query) bool
 
-	// rep is the published (epoch, snapshot, base, delta) state every
-	// read serves from: one atomic load yields a sequence number, the
-	// layout/stats view, the partitioned base it describes, and the
-	// live delta tail that were all true at exactly that sequence
-	// number. Leader shards publish it from the event consumer after
-	// each processed event; replica shards publish it from
-	// applyReplica. On a replica it is nil until the first snapshot
-	// lands.
-	rep atomic.Pointer[repState]
+	// cur is the published table version every read serves from. On a
+	// replica it is nil until the first snapshot lands.
+	cur atomic.Pointer[version]
+	// pubMu serializes publish, the one writer of cur.
+	pubMu sync.Mutex
 
 	// onDecision, when set, is invoked from the event consumer after
 	// each processed event — the replication publish hook. Swapped
 	// atomically so it can be attached to a running core.
 	onDecision atomic.Pointer[func(table string, upd DecisionUpdate)]
 
-	// store is the execution state: the materialized per-partition row
-	// blocks paired with the exact layout they were arranged by, plus
-	// the delta view scans must append. It is built lazily by the first
-	// execute request (storeMu serializes that one build), so
-	// costing-only deployments never pay the second copy of the data;
-	// once it exists, the event consumer (leader) or applyReplica
-	// (replica) swaps it in lockstep with the published state, so
-	// execute requests read a (layout, data, delta) triple that is
-	// always internally consistent — during a swap a request may
-	// execute on the outgoing state one last time, never on a torn mix.
-	store   atomic.Pointer[execState]
-	storeMu sync.Mutex
-
 	// delta is the table's live write tail — consumer-owned; requests
-	// only ever see immutable views of it through rep. Leader mode only.
+	// only ever see immutable views of it through the version. Leader
+	// mode only.
 	delta *table.Delta
 	// compactThreshold triggers an automatic fold when the delta
 	// reaches this many rows; <= 0 disables auto-compaction.
@@ -160,9 +148,8 @@ type shard struct {
 	scanPar int
 }
 
-// repState is one published (epoch, snapshot, base, delta) state; see
-// shard.rep.
-type repState struct {
+// version is one immutable published table state; see shard.cur.
+type version struct {
 	epoch uint64
 	snap  oreo.OptimizerSnapshot
 	// ds is the partitioned base the snapshot's layouts describe. It
@@ -172,14 +159,22 @@ type repState struct {
 	// empty. Scans append it in full (it is unpartitioned, so it is an
 	// always-survivor extra partition), and costs count its rows.
 	delta *oreo.Dataset
+	// store is the execution store — ds materialized into one block per
+	// partition of snap.Serving — or nil until the first execute request
+	// asks for one, so costing-only deployments never pay the second
+	// copy of the data. publish keeps it built for snap.Serving.
+	store *exec.Store
+	// trace reads the decision trace of the engine behind this version;
+	// nil on a replica, which runs no decisions.
+	trace func() []oreo.TraceEvent
 }
 
 // deltaRows returns the published delta's row count.
-func (st repState) deltaRows() int {
-	if st.delta == nil {
+func (v *version) deltaRows() int {
+	if v.delta == nil {
 		return 0
 	}
-	return st.delta.NumRows()
+	return v.delta.NumRows()
 }
 
 // Decision-update kinds; see DecisionUpdate.Kind.
@@ -221,15 +216,6 @@ type DecisionUpdate struct {
 	Folded int
 }
 
-// execState pairs a layout with the execution store materialized for
-// it and the delta view scans must append. Swapped atomically as one
-// unit; see shard.store.
-type execState struct {
-	layout *oreo.Layout
-	store  *exec.Store
-	delta  *oreo.Dataset // nil ≡ empty
-}
-
 // shardEvent is one unit of the consumer's totally ordered stream.
 type shardEvent struct {
 	kind evKind
@@ -258,19 +244,19 @@ type eventAck struct {
 }
 
 func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, seedRows, compactThreshold int, reg *metrics.Registry) *shard {
-	copt := oreo.NewConcurrent(opt)
 	s := &shard{
 		table:            name,
 		ds:               ds,
-		optCfg:           copt.Config(),
+		opt:              opt,
 		seedRows:         seedRows,
 		delta:            table.NewDelta(ds.Schema()),
 		compactThreshold: compactThreshold,
 		queue:            make(chan shardEvent, queueSize),
 		scanPar:          scanPar,
 	}
-	s.copt.Store(copt)
-	s.rep.Store(&repState{epoch: 0, snap: copt.Snapshot(), ds: ds})
+	s.publish(func(*version) *version {
+		return &version{snap: opt.Snapshot(), ds: ds, trace: opt.Events}
+	})
 	s.registerMetrics(reg)
 	s.wg.Add(1)
 	go s.consume()
@@ -321,75 +307,71 @@ func (s *shard) registerMetrics(reg *metrics.Registry) {
 		"Capacity of the decision-observation queue.", lbl,
 		func() float64 { return float64(s.queueCap()) })
 
-	// Decision-loop and replication series read the published (epoch,
-	// snapshot) pair — nil on a replica before its first snapshot, which
-	// scrapes as 0.
-	snapFn := func(f func(repState) float64) func() float64 {
+	// Decision-loop and replication series read the published version —
+	// nil on a replica before its first snapshot, which scrapes as 0.
+	snapFn := func(f func(*version) float64) func() float64 {
 		return func() float64 {
-			st := s.rep.Load()
-			if st == nil {
+			v := s.cur.Load()
+			if v == nil {
 				return 0
 			}
-			return f(*st)
+			return f(v)
 		}
 	}
 	reg.CounterFunc("oreo_decisions_total",
 		"Queries processed by the decision loop; on a follower these are the leader's replicated counters.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.snap.Stats.Queries) }))
+		snapFn(func(v *version) float64 { return float64(v.snap.Stats.Queries) }))
 	reg.CounterFunc("oreo_reorganizations_total",
 		"Layout reorganizations the optimizer has committed.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.snap.Stats.Reorganizations) }))
+		snapFn(func(v *version) float64 { return float64(v.snap.Stats.Reorganizations) }))
 	reg.CounterFunc("oreo_decision_query_cost_total",
 		"Cumulative query cost accounted by the decision loop (the paper's service cost).", lbl,
-		snapFn(func(st repState) float64 { return st.snap.Stats.QueryCost }))
+		snapFn(func(v *version) float64 { return v.snap.Stats.QueryCost }))
 	reg.CounterFunc("oreo_decision_reorg_cost_total",
 		"Cumulative data-movement cost of committed reorganizations.", lbl,
-		snapFn(func(st repState) float64 { return st.snap.Stats.ReorgCost }))
+		snapFn(func(v *version) float64 { return v.snap.Stats.ReorgCost }))
 	reg.GaugeFunc("oreo_replication_epoch",
 		"Published decision epoch: decisions processed on a leader, last applied epoch on a follower. Leader minus follower is the replication lag.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.epoch) }))
+		snapFn(func(v *version) float64 { return float64(v.epoch) }))
 	reg.GaugeFunc("oreo_delta_rows",
 		"Rows currently in the table's live delta segment (unpartitioned; scanned in full by every query).", lbl,
-		snapFn(func(st repState) float64 { return float64(st.deltaRows()) }))
+		snapFn(func(v *version) float64 { return float64(v.deltaRows()) }))
 	reg.CounterFunc("oreo_memo_hits_total",
 		"Decision-path cost-memo hits for the serving layout.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.snap.Serving.Engine().Stats().Hits) }))
+		snapFn(func(v *version) float64 { return float64(v.snap.Serving.Engine().Stats().Hits) }))
 	reg.CounterFunc("oreo_memo_misses_total",
 		"Decision-path cost-memo misses for the serving layout.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.snap.Serving.Engine().Stats().Misses) }))
+		snapFn(func(v *version) float64 { return float64(v.snap.Serving.Engine().Stats().Misses) }))
 	reg.GaugeFunc("oreo_memo_entries",
 		"Entries in the serving layout's cost memo.", lbl,
-		snapFn(func(st repState) float64 { return float64(st.snap.Serving.Engine().Stats().Entries) }))
+		snapFn(func(v *version) float64 { return float64(v.snap.Serving.Engine().Stats().Entries) }))
 }
 
 // consume is the single event consumer — the serialization point for
 // everything that advances the table's epoch: layout decisions, row
-// appends, and compactions. It republishes the (epoch, snapshot, base,
-// delta) state after each event and keeps the execution store (if one
-// has been materialized) in lockstep. Store rebuilds (full data
-// rewrites) run here, on the consumer goroutine — they are the
-// physical reorganization cost the optimizer's α models, and they must
-// never land on a request. The attached decision hook (if any) runs
-// after the publish but before an append/compact acknowledgment, so a
-// replication publisher always describes a state the leader itself
-// already serves, and an acked writer knows its rows are in-stream.
+// appends, and compactions. It owns the optimizer and publishes the
+// next version after each event; a layout change rebuilds a
+// materialized execution store inside that publish, on this goroutine —
+// store rebuilds are the physical reorganization cost the optimizer's α
+// models, and they must never land on a request. The attached decision
+// hook (if any) runs after the publish but before an append/compact
+// acknowledgment, so a replication publisher always describes a state
+// the leader itself already serves, and an acked writer knows its rows
+// are in-stream.
 func (s *shard) consume() {
 	defer s.wg.Done()
-	prev := s.copt.Load().CurrentLayout()
 	for ev := range s.queue {
 		switch ev.kind {
 		case evObserve:
-			copt := s.copt.Load()
-			d := copt.ProcessQuery(ev.q)
-			snap := s.combinedSnapshot(copt)
-			cur := s.rep.Load()
-			st := &repState{epoch: cur.epoch + 1, snap: snap, ds: cur.ds, delta: cur.delta}
-			s.rep.Store(st)
-			switched := snap.Serving != prev
-			s.syncStore(st)
+			prev := s.opt.CurrentLayout()
+			d := s.opt.ProcessQuery(ev.q)
+			snap := s.snapshot()
+			v := s.publish(func(cur *version) *version {
+				return &version{epoch: cur.epoch + 1, snap: snap, ds: cur.ds, delta: cur.delta, trace: cur.trace}
+			})
 			s.notify(DecisionUpdate{
-				Kind: UpdateDecision, Epoch: st.epoch, Cost: d.Cost,
-				Switched: switched, Snapshot: snap, DeltaRows: st.deltaRows(),
+				Kind: UpdateDecision, Epoch: v.epoch, Cost: d.Cost,
+				Switched: snap.Serving != prev, Snapshot: snap, DeltaRows: v.deltaRows(),
 			})
 		case evAppend:
 			//oreovet:ignore blockingsend reply on the caller-owned cap-1 ack channel; the single send cannot block
@@ -398,7 +380,6 @@ func (s *shard) consume() {
 			//oreovet:ignore blockingsend reply on the caller-owned cap-1 ack channel; the single send cannot block
 			ev.resp <- s.handleCompact()
 		}
-		prev = s.rep.Load().snap.Serving
 	}
 }
 
@@ -409,15 +390,17 @@ func (s *shard) handleAppend(rows *oreo.Dataset) eventAck {
 	s.delta.AppendDataset(rows)
 	s.rowsAppended.Add(uint64(rows.NumRows()))
 	view := s.delta.View()
-	cur := s.rep.Load()
-	st := &repState{epoch: cur.epoch + 1, snap: cur.snap, ds: cur.ds, delta: view.Data}
-	s.rep.Store(st)
-	s.syncStore(st)
+	v := s.publish(func(cur *version) *version {
+		next := *cur
+		next.epoch++
+		next.delta = view.Data
+		return &next
+	})
 	s.notify(DecisionUpdate{
-		Kind: UpdateAppend, Epoch: st.epoch, Snapshot: st.snap,
+		Kind: UpdateAppend, Epoch: v.epoch, Snapshot: v.snap,
 		Rows: rows, DeltaRows: view.Rows(),
 	})
-	ack := eventAck{epoch: st.epoch, deltaRows: view.Rows()}
+	ack := eventAck{epoch: v.epoch, deltaRows: view.Rows()}
 	if s.compactThreshold > 0 && view.Rows() >= s.compactThreshold {
 		cack := s.handleCompact()
 		ack.epoch, ack.deltaRows, ack.err = cack.epoch, cack.deltaRows, cack.err
@@ -436,7 +419,7 @@ func (s *shard) handleAppend(rows *oreo.Dataset) eventAck {
 // delta is a no-op that does not advance the epoch.
 func (s *shard) handleCompact() eventAck {
 	n := s.delta.Rows()
-	cur := s.rep.Load()
+	cur := s.cur.Load()
 	if n == 0 {
 		return eventAck{epoch: cur.epoch}
 	}
@@ -451,28 +434,27 @@ func (s *shard) handleCompact() eventAck {
 	s.compactSeq++
 	newLayout := layout.New(fmt.Sprintf("compact-%d", s.compactSeq), newDS.Schema(), part)
 
-	cfg := s.optCfg
+	cfg := s.opt.Config()
 	cfg.Initial = newLayout
 	cfg.InitialSort = nil
 	opt, err := oreo.New(newDS, cfg)
 	if err != nil {
 		return eventAck{epoch: cur.epoch, deltaRows: n, err: fmt.Errorf("rebuilding optimizer over grown base: %w", err)}
 	}
-	s.statsBase = addStats(s.statsBase, s.copt.Load().Stats())
-	copt := oreo.NewConcurrent(opt)
-	s.copt.Store(copt)
+	s.statsBase = addStats(s.statsBase, s.opt.Stats())
+	s.opt = opt
 	s.delta.Reset(n)
 	s.compactions.Add(1)
 
-	snap := s.combinedSnapshot(copt)
-	st := &repState{epoch: cur.epoch + 1, snap: snap, ds: newDS}
-	s.rep.Store(st)
-	s.syncStore(st)
+	snap := s.snapshot()
+	v := s.publish(func(cur *version) *version {
+		return &version{epoch: cur.epoch + 1, snap: snap, ds: newDS, trace: opt.Events}
+	})
 	s.notify(DecisionUpdate{
-		Kind: UpdateCompact, Epoch: st.epoch, Switched: true,
+		Kind: UpdateCompact, Epoch: v.epoch, Switched: true,
 		Snapshot: snap, Folded: n,
 	})
-	return eventAck{epoch: st.epoch, folded: n}
+	return eventAck{epoch: v.epoch, folded: n}
 }
 
 // extendAssignment returns the serving assignment extended over the
@@ -533,12 +515,11 @@ func widening(m *table.PartitionMeta, delta *table.Dataset, r int) int {
 	return w
 }
 
-// combinedSnapshot returns the engine's snapshot with the cumulative
-// counters of every retired engine folded in, so published stats stay
-// monotone across the optimizer rebuilds compaction performs.
-// Consumer-owned (reads statsBase).
-func (s *shard) combinedSnapshot(copt *oreo.ConcurrentOptimizer) oreo.OptimizerSnapshot {
-	snap := copt.Snapshot()
+// snapshot returns the engine's snapshot with the cumulative counters
+// of every retired engine folded in, so published stats stay monotone
+// across the optimizer rebuilds compaction performs. Consumer-owned.
+func (s *shard) snapshot() oreo.OptimizerSnapshot {
+	snap := s.opt.Snapshot()
 	snap.Stats = addStats(s.statsBase, snap.Stats)
 	return snap
 }
@@ -568,76 +549,75 @@ func (s *shard) notify(upd DecisionUpdate) {
 	}
 }
 
-// view returns the published state, or an unavailable error on a
+// view returns the published version, or an unavailable error on a
 // replica shard that has not applied its first snapshot.
-func (s *shard) view() (repState, *Error) {
-	st := s.rep.Load()
-	if st == nil {
-		return repState{}, errUnavailable("table %q is replicating and has no snapshot yet", s.table)
+func (s *shard) view() (*version, *Error) {
+	v := s.cur.Load()
+	if v == nil {
+		return nil, errUnavailable("table %q is replicating and has no snapshot yet", s.table)
 	}
-	return *st, nil
+	return v, nil
+}
+
+// publish installs the next table version, derived by next from the
+// current one (nil on a replica before its first snapshot) under pubMu.
+// It is the one write path of the published state: the consumer's
+// events, applyReplica, promotion and the lazy first-execute
+// materialization all come through here. Once a store exists, publish
+// carries it into every later version, rebuilding it from the version's
+// base when the serving layout changed. Appends change only the delta,
+// which scans take from the version, so they reuse the store as is.
+// The rebuild runs before the version becomes visible, so a published
+// serving layout always comes with a store built for it: during a
+// rebuild requests keep reading the outgoing version whole.
+func (s *shard) publish(next func(cur *version) *version) *version {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	cur := s.cur.Load()
+	v := next(cur)
+	if v.store == nil && cur != nil {
+		v.store = cur.store
+	}
+	if v.store != nil && v.store.Partitioning() != v.snap.Serving.Part {
+		v.store = exec.MustNewStore(v.ds, v.snap.Serving.Part)
+	}
+	s.cur.Store(v)
+	return v
+}
+
+// materialize returns the published version with an execution store,
+// building one on first use: it republishes the same epoch with the
+// store attached. Concurrent first-execute requests wait on pubMu
+// rather than each copying the table.
+func (s *shard) materialize() *version {
+	return s.publish(func(cur *version) *version {
+		if cur.store != nil {
+			return cur
+		}
+		next := *cur
+		next.store = exec.MustNewStore(cur.ds, cur.snap.Serving.Part)
+		return &next
+	})
 }
 
 // applyReplica publishes an externally decoded state — the
-// replica-mode write path — and keeps a materialized execution store
-// in lockstep on this (apply) goroutine so the rebuild cost never
-// lands on a request.
+// replica-mode write path. A materialized store follows the new layout
+// on this (apply) goroutine, so the rebuild cost never lands on a
+// request.
 func (s *shard) applyReplica(st ReplicaState) {
-	rs := &repState{epoch: st.Epoch, snap: st.Snapshot, ds: st.Dataset, delta: st.Delta}
-	if rs.delta != nil && rs.delta.NumRows() == 0 {
-		rs.delta = nil
+	delta := st.Delta
+	if delta != nil && delta.NumRows() == 0 {
+		delta = nil
 	}
-	s.rep.Store(rs)
+	s.publish(func(*version) *version {
+		return &version{epoch: st.Epoch, snap: st.Snapshot, ds: st.Dataset, delta: delta}
+	})
 	if st.Appended > 0 {
 		s.rowsAppended.Add(uint64(st.Appended))
 	}
 	if st.Compacted {
 		s.compactions.Add(1)
 	}
-	s.syncStore(rs)
-}
-
-// syncStore brings a materialized execution store in line with the
-// published state: a layout change rebuilds the per-partition blocks
-// from the (possibly grown) base, a delta change swaps just the view.
-// No-op until the first execute request materializes a store. Runs on
-// the event consumer (leader) or the apply goroutine (replica),
-// serialized against lazy materialization by storeMu.
-func (s *shard) syncStore(rst *repState) {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	st := s.store.Load()
-	if st == nil {
-		return
-	}
-	if st.layout != rst.snap.Serving {
-		s.store.Store(&execState{layout: rst.snap.Serving, store: exec.MustNewStore(rst.ds, rst.snap.Serving.Part), delta: rst.delta})
-	} else if st.delta != rst.delta {
-		s.store.Store(&execState{layout: st.layout, store: st.store, delta: rst.delta})
-	}
-}
-
-// execStore returns the execution state, materializing it on first use
-// from the freshest published state. The build is serialized under
-// storeMu (concurrent first-execute requests wait rather than each
-// copying the table); afterwards loads are lock-free. The state may
-// trail the published serving layout until the next lockstep sync —
-// serveExecute reports that window as an in-flight reorganization —
-// but it is always an internally consistent (layout, data, delta)
-// triple.
-func (s *shard) execStore() *execState {
-	if st := s.store.Load(); st != nil {
-		return st
-	}
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	if st := s.store.Load(); st != nil {
-		return st
-	}
-	rst := s.rep.Load()
-	st := &execState{layout: rst.snap.Serving, store: exec.MustNewStore(rst.ds, rst.snap.Serving.Part), delta: rst.delta}
-	s.store.Store(st)
-	return st
 }
 
 // close stops the shard: no further observations or writes are
@@ -662,7 +642,7 @@ func (s *shard) close() {
 // The role-dependent fields (replica, forward, queue, and the
 // leader-only decision machinery) are written exactly twice in a
 // shard's life: at construction, and under the obsMu write lock by
-// promote. Every reader that can race a promotion goes through these
+// promoteLocked. Every reader that can race a promotion goes through these
 // accessors, which take the read side — the same lock discipline the
 // observation handoff already uses against close.
 
@@ -696,61 +676,69 @@ func (s *shard) bootRows() int {
 	return s.seedRows
 }
 
-// promote flips a replica shard to leader mode in place, continuing
-// from the applied replication state exactly the way a compaction
-// continues from a retired engine: a fresh optimizer is built over the
-// replicated base with the replicated serving layout as its initial
-// state (so the first post-promotion decision costs queries against
-// the very layout the old leader was serving), the replicated
-// cumulative counters become the stats base, the replicated delta
-// reseeds a consumer-owned write tail, and the compaction sequence
-// resumes from the serving layout's name so post-promotion folds never
-// reuse a layout name the stream has already carried. The event queue
-// and consumer goroutine start last; the epoch counter continues from
-// the applied position because consume derives each epoch from the
-// published state.
-func (s *shard) promote(cfg oreo.Config, seedRows, queueSize, compactThreshold int) error {
-	st := s.rep.Load()
-	if st == nil {
-		return errUnavailable("table %q is replicating and has no snapshot yet", s.table)
-	}
-	// Build the new engine before taking the write lock: construction
-	// walks the whole base, and reads only ever hold obsMu for an
-	// enqueue. The inputs are stable — the caller has detached the
-	// replication stream, so nothing republishes rep underneath us.
-	cfg.Initial = st.snap.Serving
-	cfg.InitialSort = nil
-	opt, err := oreo.New(st.ds, cfg)
-	if err != nil {
-		return fmt.Errorf("serve: rebuilding optimizer for promotion of table %q: %w", s.table, err)
-	}
-	copt := oreo.NewConcurrent(opt)
-	delta := table.NewDelta(s.ds.Schema())
-	if st.delta != nil {
-		delta.AppendDataset(st.delta)
-	}
+// promotion is one table's prepared leader state; see preparePromotion.
+type promotion struct {
+	opt   *oreo.Optimizer
+	delta *table.Delta
+	// snap is the applied snapshot the engine continues from.
+	snap oreo.OptimizerSnapshot
+}
 
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	if !s.replica {
-		return errInvalid("table %q is already a leader", s.table)
+// preparePromotion builds what a replica shard needs to become a leader,
+// continuing from the applied replication state exactly the way a
+// compaction continues from a retired engine: a fresh optimizer over
+// the replicated base with the replicated serving layout as its initial
+// state (so the first post-promotion decision costs queries against the
+// very layout the old leader was serving), and the replicated delta
+// reseeded into a consumer-owned write tail. Construction walks the
+// whole base and can fail (a bad Config), so it runs before any table
+// flips and without the write lock. The inputs are stable — the caller
+// has detached the replication stream, so nothing republishes the
+// version underneath us.
+func (s *shard) preparePromotion(cfg oreo.Config) (*promotion, error) {
+	v, verr := s.view()
+	if verr != nil {
+		return nil, verr
 	}
-	if s.obsClosed {
-		return errUnavailable("table %q is shutting down", s.table)
+	cfg.Initial = v.snap.Serving
+	cfg.InitialSort = nil
+	opt, err := oreo.New(v.ds, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: rebuilding optimizer for promotion of table %q: %w", s.table, err)
 	}
-	s.copt.Store(copt)
-	s.optCfg = copt.Config()
+	delta := table.NewDelta(s.ds.Schema())
+	if v.delta != nil {
+		delta.AppendDataset(v.delta)
+	}
+	return &promotion{opt: opt, delta: delta, snap: v.snap}, nil
+}
+
+// promoteLocked flips a replica shard to leader mode in place with a
+// prepared promotion. The caller holds obsMu's write side and has
+// checked that the shard is an open replica, so it cannot fail. The
+// replicated cumulative counters become the stats base, and the
+// compaction sequence resumes from the serving layout's name so
+// post-promotion folds never reuse a layout name the stream has already
+// carried. The event queue and consumer goroutine start last; the epoch
+// counter continues from the applied position because every publish
+// derives the next epoch from the current version.
+func (s *shard) promoteLocked(p *promotion, seedRows, queueSize, compactThreshold int) {
+	s.opt = p.opt
 	s.seedRows = seedRows
-	s.statsBase = st.snap.Stats
-	s.delta = delta
+	s.statsBase = p.snap.Stats
+	s.delta = p.delta
 	s.compactThreshold = compactThreshold
-	s.compactSeq = compactSeqFromName(st.snap.Serving.Name)
+	s.compactSeq = compactSeqFromName(p.snap.Serving.Name)
+	s.publish(func(cur *version) *version {
+		next := *cur
+		next.trace = p.opt.Events
+		return &next
+	})
 	s.queue = make(chan shardEvent, queueSize)
 	s.replica = false
 	s.forward = nil
 	s.wg.Add(1)
 	go s.consume()
-	return nil
 }
 
 // compactSeqFromName recovers the compaction sequence from a layout
@@ -843,48 +831,51 @@ func combinedCost(base float64, survivors []int, part *oreo.Partitioning, deltaR
 	return float64(mass+deltaRows) / float64(total)
 }
 
-// serveQuery answers one routed query: the lock-free snapshot read path
-// (OptimizerSnapshot.CostQuery) for cost and skip-list, then a
-// non-blocking observation handoff. A live delta rides on the cost as
-// an always-surviving extra partition.
-func (s *shard) serveQuery(q oreo.Query) (TableResult, error) {
-	st, verr := s.view()
-	if verr != nil {
-		return TableResult{}, verr
-	}
-	snap := st.snap
-	dec := snap.CostQuery(q)
+// costOn costs q against one published version: the lock-free
+// snapshot read path (OptimizerSnapshot.CostQuery) for cost and
+// skip-list, with a live delta riding on the cost as an
+// always-surviving extra partition.
+func (s *shard) costOn(v *version, q oreo.Query) TableResult {
+	dec := v.snap.CostQuery(q)
 	ids := dec.SurvivorPartitions()
-	cost := combinedCost(dec.Cost, ids, snap.Serving.Part, st.deltaRows())
-	observed := s.record(q, cost)
-
 	res := TableResult{
 		Table:              s.table,
-		Cost:               cost,
+		Cost:               combinedCost(dec.Cost, ids, v.snap.Serving.Part, v.deltaRows()),
 		Layout:             dec.Layout.Name,
 		NumPartitions:      dec.Layout.Part.NumPartitions,
 		SurvivorPartitions: ids,
-		DeltaRows:          st.deltaRows(),
-		Observed:           observed,
+		DeltaRows:          v.deltaRows(),
 		QueryID:            q.ID,
 	}
-	if snap.Pending != nil {
+	if v.snap.Pending != nil {
 		res.Reorganizing = true
-		res.PendingLayout = snap.Pending.Name
+		res.PendingLayout = v.snap.Pending.Name
 	}
+	return res
+}
+
+// serveQuery answers one routed query: costing against the published
+// version, then a non-blocking observation handoff.
+func (s *shard) serveQuery(q oreo.Query) (TableResult, error) {
+	v, verr := s.view()
+	if verr != nil {
+		return TableResult{}, verr
+	}
+	res := s.costOn(v, q)
+	res.Observed = s.record(q, res.Cost)
 	return res, nil
 }
 
 // serveExecute answers one routed query *and* executes it: cost and
-// skip-list are evaluated against the execution state's layout (not the
-// possibly newer published snapshot, so pruning and data always agree),
-// then the store scans exactly the survivor partitions — plus the
-// execution state's delta view, in full — re-checking predicates per
-// row and folding the requested aggregates. Errors are client errors
-// (invalid aggregates) or a canceled context, and leave every counter
-// untouched.
+// skip-list come from the published version, whose store is built for
+// that very serving layout, so pruning and data always agree. The store
+// scans exactly the survivor partitions — plus the version's delta, in
+// full — re-checking predicates per row and folding the requested
+// aggregates. Errors are client errors (invalid aggregates) or a
+// canceled context, and leave every counter untouched.
 func (s *shard) serveExecute(ctx context.Context, q oreo.Query, aggs []exec.AggSpec) (TableResult, error) {
-	if _, verr := s.view(); verr != nil {
+	v, verr := s.view()
+	if verr != nil {
 		return TableResult{}, verr
 	}
 	// Validate before materializing: on a cold shard the lazy store
@@ -893,65 +884,30 @@ func (s *shard) serveExecute(ctx context.Context, q oreo.Query, aggs []exec.AggS
 	if err := exec.ValidateAggs(s.ds.Schema(), aggs); err != nil {
 		return TableResult{}, err
 	}
-	st := s.execStore()
-	baseCost, ids := st.layout.CostSurvivorsSnapshot(q)
-	if ids == nil {
-		ids = []int{}
+	if v.store == nil {
+		v = s.materialize()
 	}
-	deltaRows := 0
-	if st.delta != nil {
-		deltaRows = st.delta.NumRows()
-	}
-	cost := combinedCost(baseCost, ids, st.layout.Part, deltaRows)
-	scan, err := st.store.Scan(q, ids, aggs, exec.Options{Context: ctx, Parallelism: s.scanPar, Delta: st.delta})
+	res := s.costOn(v, q)
+	scan, err := v.store.Scan(q, res.SurvivorPartitions, aggs, exec.Options{Context: ctx, Parallelism: s.scanPar, Delta: v.delta})
 	if err != nil {
 		return TableResult{}, err
 	}
-	observed := s.record(q, cost)
+	res.Observed = s.record(q, res.Cost)
 	s.executions.Add(1)
 	s.execRows.Add(uint64(scan.RowsExamined))
 	if scan.Workers > 1 {
 		s.parallelScans.Add(1)
 	}
-
-	res := TableResult{
-		Table:              s.table,
-		Cost:               cost,
-		Layout:             st.layout.Name,
-		NumPartitions:      st.layout.Part.NumPartitions,
-		SurvivorPartitions: ids,
-		DeltaRows:          deltaRows,
-		Observed:           observed,
-		QueryID:            q.ID,
-		Execution: &ExecutionJSON{
-			MatchedRows:     scan.Matched,
-			PartitionsRead:  scan.PartitionsRead,
-			PartitionsTotal: st.layout.Part.NumPartitions,
-			RowsExamined:    scan.RowsExamined,
-			RowsTotal:       st.store.TotalRows() + scan.DeltaRows,
-			DeltaRows:       scan.DeltaRows,
-			Aggregates:      encodeAggs(scan.Aggs),
-		},
-	}
-	if snap := s.currentSnap(); snap.Pending != nil {
-		res.Reorganizing = true
-		res.PendingLayout = snap.Pending.Name
-	} else if snap.Serving != st.layout {
-		// The published state already switched but the store rebuild has
-		// not landed: the physical swap is still in flight, and answers
-		// keep coming from the outgoing layout until it does. Report
-		// that honestly — a monitor polling for "reorganization done"
-		// must not be told done while execution still reads old blocks.
-		res.Reorganizing = true
-		res.PendingLayout = snap.Serving.Name
+	res.Execution = &ExecutionJSON{
+		MatchedRows:     scan.Matched,
+		PartitionsRead:  scan.PartitionsRead,
+		PartitionsTotal: res.NumPartitions,
+		RowsExamined:    scan.RowsExamined,
+		RowsTotal:       v.store.TotalRows() + scan.DeltaRows,
+		DeltaRows:       scan.DeltaRows,
+		Aggregates:      encodeAggs(scan.Aggs),
 	}
 	return res, nil
-}
-
-// currentSnap returns the freshest published snapshot; callers must
-// have already established a snapshot exists (via view).
-func (s *shard) currentSnap() oreo.OptimizerSnapshot {
-	return s.rep.Load().snap
 }
 
 // addCost accumulates a served cost into the float-bits counter.
@@ -968,11 +924,11 @@ func (s *shard) addCost(c float64) {
 // replica shard the optimizer counters are the leader's, replicated
 // with the decision stream; the serving metrics are the replica's own.
 func (s *shard) stats() (StatsResponse, error) {
-	rst, verr := s.view()
+	v, verr := s.view()
 	if verr != nil {
 		return StatsResponse{}, verr
 	}
-	snap := rst.snap
+	snap := v.snap
 	st := snap.Stats
 	memo := snap.Serving.Engine().Stats()
 	return StatsResponse{
@@ -1001,7 +957,7 @@ func (s *shard) stats() (StatsResponse, error) {
 		QueueDepth:        s.queueDepth(),
 		QueueCapacity:     s.queueCap(),
 
-		DeltaRows:    rst.deltaRows(),
+		DeltaRows:    v.deltaRows(),
 		RowsAppended: s.rowsAppended.Load(),
 		Compactions:  s.compactions.Load(),
 	}, nil
@@ -1009,11 +965,11 @@ func (s *shard) stats() (StatsResponse, error) {
 
 // layoutInfo assembles the layout response from one snapshot.
 func (s *shard) layoutInfo() (LayoutResponse, error) {
-	rst, verr := s.view()
+	v, verr := s.view()
 	if verr != nil {
 		return LayoutResponse{}, verr
 	}
-	snap := rst.snap
+	snap := v.snap
 	lay := snap.Serving
 	rows := make([]int, lay.Part.NumPartitions)
 	for pid, m := range lay.Part.Meta {
@@ -1027,7 +983,7 @@ func (s *shard) layoutInfo() (LayoutResponse, error) {
 		NumPartitions: lay.Part.NumPartitions,
 		TotalRows:     lay.Part.TotalRows,
 		PartitionRows: rows,
-		DeltaRows:     rst.deltaRows(),
+		DeltaRows:     v.deltaRows(),
 	}
 	if snap.Pending != nil {
 		res.Reorganizing = true
@@ -1039,14 +995,16 @@ func (s *shard) layoutInfo() (LayoutResponse, error) {
 // traceEvents returns the decision trace (empty unless the optimizer
 // was configured with TraceCapacity). Replica shards run no decisions,
 // so their trace is empty by construction — traces are a decision-path
-// artifact and live where decisions are made, on the leader. After a
-// compaction the trace is the fresh engine's: compaction retires the
-// old optimizer, trace and all.
+// artifact and live where decisions are made, on the leader. The trace
+// comes from the published version, so it follows engine swaps: after a
+// compaction it is the fresh engine's (compaction retires the old
+// optimizer, trace and all), after a promotion the promoted engine's.
 func (s *shard) traceEvents() []TraceEventJSON {
-	if s.isReplica() {
+	v := s.cur.Load()
+	if v == nil || v.trace == nil {
 		return []TraceEventJSON{}
 	}
-	events := s.copt.Load().Events()
+	events := v.trace()
 	out := make([]TraceEventJSON, 0, len(events))
 	for _, e := range events {
 		out = append(out, TraceEventJSON{

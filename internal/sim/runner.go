@@ -77,14 +77,12 @@ func (r Result) TotalSeconds() float64 { return r.QuerySeconds + r.ReorgSeconds 
 func Run(qs []query.Query, pol policy.Policy, cfg Config) Result {
 	res := Result{Policy: pol.Name(), Queries: len(qs), CurveStride: cfg.CurveStride}
 
-	serving := pol.Current()
-	var pending *layout.Layout
-	countdown := 0
+	swap := Swap{Serving: pol.Current(), Delay: cfg.Delay}
 
 	var spaceSamples, spaceSum int
 	cum := 0.0
 	for i, q := range qs {
-		if target := pol.Observe(q); target != nil && target.Name != serving.Name {
+		if swap.Step(pol.Observe(q)) {
 			// Reorganization cost is incurred as soon as the decision is
 			// made (§VI-D5); the swap lands after Delay more queries.
 			res.ReorgCost += cfg.Alpha
@@ -92,19 +90,9 @@ func Run(qs []query.Query, pol policy.Policy, cfg Config) Result {
 			if cfg.Disk != nil {
 				res.ReorgSeconds += cfg.Disk.ReorgSeconds(cfg.TableMB)
 			}
-			pending = target
-			countdown = cfg.Delay
-		}
-		if pending != nil {
-			if countdown <= 0 {
-				serving = pending
-				pending = nil
-			} else {
-				countdown--
-			}
 		}
 
-		c := serving.Cost(q)
+		c := swap.Serving.Cost(q)
 		res.QueryCost += c
 		cum += c
 		if cfg.Disk != nil {
@@ -127,6 +115,52 @@ func Run(qs []query.Query, pol policy.Policy, cfg Config) Result {
 	if spaceSamples > 0 {
 		res.AvgSpace = float64(spaceSum) / float64(spaceSamples)
 	}
-	res.FinalLayout = serving.Name
+	res.FinalLayout = swap.Serving.Name
 	return res
+}
+
+// Swap is the physical side of reorganization under the background
+// delay Δ: the layout queries are served on, which trails the policy's
+// logical state by Delay queries after each switch decision. Run and
+// the public oreo.Optimizer both advance one, so the figures reproduced
+// here and the decisions served online share one swap rule.
+type Swap struct {
+	// Serving is the layout queries are physically served on.
+	Serving *layout.Layout
+	// Pending is the in-flight reorganization target, or nil.
+	Pending *layout.Layout
+	// Delay is Δ, the number of queries still served on the outgoing
+	// layout after a switch decision.
+	Delay     int
+	countdown int
+}
+
+// Step registers the policy's target for the next query (nil when the
+// policy did not switch) and advances the countdown. It reports whether
+// a real switch was decided. The policy may surface a target equal to
+// the serving layout — switching back to it while a delayed swap is
+// still in flight — which is not a reorganization: it aborts the
+// pending swap instead, so serving never lands on a layout the policy
+// already abandoned. The aborted build's earlier α charge stands:
+// reorganization cost is incurred at decision time (§VI-D5), so
+// oscillating inside the delay window is never free.
+func (s *Swap) Step(target *layout.Layout) bool {
+	switched := false
+	if target != nil {
+		if target.Name != s.Serving.Name {
+			switched = true
+			s.Pending = target
+			s.countdown = s.Delay
+		} else {
+			s.Pending = nil
+		}
+	}
+	if s.Pending != nil {
+		if s.countdown <= 0 {
+			s.Serving, s.Pending = s.Pending, nil
+		} else {
+			s.countdown--
+		}
+	}
+	return switched
 }

@@ -10,6 +10,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Kind enumerates event types.
@@ -70,9 +71,11 @@ func (e Event) String() string {
 }
 
 // Recorder is a bounded ring buffer of events. The zero value discards
-// everything; construct with NewRecorder. Not safe for concurrent use
-// (OREO itself is single-threaded per table).
+// everything; construct with NewRecorder. It is safe for concurrent
+// use: OREO records from its one decision goroutine per table while
+// serving readers take Events.
 type Recorder struct {
+	mu    sync.Mutex
 	buf   []Event
 	head  int
 	count int
@@ -94,7 +97,9 @@ func (r *Recorder) SetSeq(seq int) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
 	r.seq = seq
+	r.mu.Unlock()
 }
 
 // Record appends an event (nil receiver discards).
@@ -102,6 +107,8 @@ func (r *Recorder) Record(kind Kind, layout, detail string) {
 	if r == nil || r.buf == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := Event{Seq: r.seq, Kind: kind, Layout: layout, Detail: detail}
 	if r.count < len(r.buf) {
 		r.buf[(r.head+r.count)%len(r.buf)] = e
@@ -118,6 +125,8 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
@@ -131,6 +140,8 @@ func (r *Recorder) Total() int {
 	if r == nil {
 		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.total
 }
 

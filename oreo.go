@@ -76,14 +76,15 @@
 // empty slice, so wire encoders emit [] on every path.
 //
 // In process, the serving surface is the Engine interface: ProcessQuery
-// plus the layout/stats reads, satisfied by three regimes. Optimizer is
-// the sequential engine. ConcurrentOptimizer is the read-mostly engine:
-// the decision path serializes on a mutex but republishes an immutable
-// OptimizerSnapshot (serving layout, pending reorganization, counters)
-// through an atomic pointer after every query, so CurrentLayout, Stats,
-// Snapshot, and the CostQuery costing/skip-list path are all lock-free
-// and scale with cores. MultiOptimizer.Engine exposes each table's
-// shard as its own engine, routed by predicate (Route).
+// plus the layout/stats reads, satisfied by Optimizer and by
+// MultiOptimizer.Engine, which exposes each table's shard as its own
+// engine, routed by predicate (Route). An Optimizer is driven from one
+// goroutine; concurrent readers are served from values instead.
+// Optimizer.Snapshot captures the serving layout, the pending
+// reorganization and the counters as one immutable OptimizerSnapshot,
+// and OptimizerSnapshot.CostQuery costs a query and extracts its
+// skip-list against it without any lock, so reads scale with cores
+// while the decision goroutine moves on.
 //
 // Over the wire, the stack is a transport-neutral core under versioned
 // codecs. serve.Core (internal/serve) owns every request semantic —
@@ -151,11 +152,14 @@
 //
 // The serving layer executes on request: POST /v1/query with
 // "execute": true scans the shard's store and returns matched-row
-// counts and aggregates next to the cost. Each shard's store is
-// rebuilt (dictionaries included) by its decision consumer whenever a
-// reorganization lands and atomically swapped in lockstep with the
-// optimizer snapshot, so the lock-free read path always sees a
-// consistent (layout, data) pair. Real data comes in through
+// counts and aggregates next to the cost. Each shard publishes one
+// immutable table version per event — epoch, optimizer snapshot, base,
+// delta and store — through a single atomic pointer. Its decision
+// consumer rebuilds the store (dictionaries included) for a new serving
+// layout before it publishes the version that serves that layout, so a
+// layout is served only once it is materialized (§III-B) and a
+// lock-free read always scans the store its own layout describes.
+// Real data comes in through
 // internal/ingest: CSV files with header rows become typed datasets
 // via schema inference (int64 → float64 → string widening), booted by
 // oreoserve -csv DIR — see examples/execution for the loop in
@@ -413,6 +417,7 @@ import (
 	"oreo/internal/mts"
 	"oreo/internal/policy"
 	"oreo/internal/query"
+	"oreo/internal/sim"
 	"oreo/internal/table"
 	"oreo/internal/trace"
 )
@@ -614,11 +619,9 @@ type Optimizer struct {
 	reorg *mts.Reorganizer
 	rec   *trace.Recorder
 
-	// serving is the layout queries are physically served on; under
+	// swap holds the layout queries are physically served on; under
 	// ReorgDelay it trails the policy's logical state.
-	serving   *Layout
-	pending   *Layout
-	countdown int
+	swap sim.Swap
 
 	queries   int
 	queryCost float64
@@ -717,7 +720,7 @@ func New(ds *Dataset, cfg Config) (*Optimizer, error) {
 		MaxStates: cfg.MaxStates,
 	}, reorg)
 
-	o := &Optimizer{cfg: cfg, pol: pol, reorg: reorg, serving: initial}
+	o := &Optimizer{cfg: cfg, pol: pol, reorg: reorg, swap: sim.Swap{Serving: initial, Delay: cfg.ReorgDelay}}
 	if cfg.TraceCapacity > 0 {
 		o.rec = trace.NewRecorder(cfg.TraceCapacity)
 		pol.SetRecorder(o.rec)
@@ -732,45 +735,22 @@ func New(ds *Dataset, cfg Config) (*Optimizer, error) {
 // swaps only after the delay elapses, modeling background
 // reorganization.
 func (o *Optimizer) ProcessQuery(q Query) Decision {
-	target := o.pol.Observe(q)
-	reorganized := o.applyTarget(target)
-
-	cost := o.serving.Cost(q)
+	reorganized := o.applyTarget(o.pol.Observe(q))
+	cost := o.swap.Serving.Cost(q)
 	o.queries++
 	o.queryCost += cost
-	return Decision{Cost: cost, Reorganized: reorganized, Layout: o.serving, query: q}
+	return Decision{Cost: cost, Reorganized: reorganized, Layout: o.swap.Serving, query: q}
 }
 
 // applyTarget registers a policy switch decision and advances the
-// background-reorganization countdown. It returns whether a real switch
-// was decided — the policy may surface a target equal to the serving
-// layout (switching back to it while a delayed reorganization is still
-// in flight), which is not a reorganization and must not be reported or
-// charged as one; it instead aborts the pending swap, keeping the
-// serving layout aligned with the policy's logical state rather than
-// materializing a layout the policy already abandoned. The aborted
-// build's earlier α charge stands: reorganization cost is incurred at
-// decision time (§VI-D5), whether or not the materialization completes,
-// so oscillating inside the delay window is never free.
+// background-reorganization countdown through the swap rule sim.Run
+// shares (sim.Swap.Step): it returns whether a real switch was decided,
+// and a target equal to the serving layout aborts an in-flight delayed
+// swap instead of counting as one.
 func (o *Optimizer) applyTarget(target *Layout) bool {
-	switched := false
-	if target != nil {
-		if target.Name != o.serving.Name {
-			o.switches++
-			switched = true
-			o.pending = target
-			o.countdown = o.cfg.ReorgDelay
-		} else if o.pending != nil {
-			o.pending = nil
-		}
-	}
-	if o.pending != nil {
-		if o.countdown <= 0 {
-			o.serving = o.pending
-			o.pending = nil
-		} else {
-			o.countdown--
-		}
+	switched := o.swap.Step(target)
+	if switched {
+		o.switches++
 	}
 	return switched
 }
@@ -778,11 +758,11 @@ func (o *Optimizer) applyTarget(target *Layout) bool {
 // CurrentLayout returns the layout queries are currently served on.
 // Under ReorgDelay this can trail the reorganizer's logical state
 // (PendingLayout reports an in-flight background reorganization).
-func (o *Optimizer) CurrentLayout() *Layout { return o.serving }
+func (o *Optimizer) CurrentLayout() *Layout { return o.swap.Serving }
 
 // PendingLayout returns the layout a background reorganization is
 // building, or nil when none is in flight.
-func (o *Optimizer) PendingLayout() *Layout { return o.pending }
+func (o *Optimizer) PendingLayout() *Layout { return o.swap.Pending }
 
 // Stats returns cumulative counters and the current worst-case bound.
 func (o *Optimizer) Stats() Stats {

@@ -28,7 +28,9 @@ const (
 )
 
 // Events returns the retained trace events, oldest first. Empty unless
-// Config.TraceCapacity was set.
+// Config.TraceCapacity was set. Unlike the rest of Optimizer it is safe
+// to call concurrently with ProcessQuery: the recorder takes its own
+// lock, so a serving host can read the trace without stopping decisions.
 func (o *Optimizer) Events() []TraceEvent { return o.rec.Events() }
 
 // DumpTrace writes the retained trace to w, one event per line.
